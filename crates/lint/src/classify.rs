@@ -13,8 +13,9 @@
 //! - `service::wire` and `service::command` carry amounts as `f64`
 //!   because the paper's interface is priced in real-valued credits;
 //!   the ledger converts to integer micro-credits at the boundary.
-//!   They are in the replay class (decode drives replay) but not the
-//!   float-strict class.
+//!   Command decode drives replay and wire parses every replayed frame,
+//!   so they are replay-class and panic-free respectively, but not
+//!   float-strict.
 //! - `service::node`'s `/health` body formats uptime as a float; that
 //!   is presentation, never state, so node.rs is not float-strict.
 //! - `service::reactor` and `service::timer` keep `HashMap`s of
@@ -126,6 +127,13 @@ pub const MODULE_MAP: &[MapEntry] = &[
         why: "distributed round codec: decode(encode(cs)) must be bit-exact, \
               floats travel as bit patterns, and a malformed candidate payload \
               from the wire must error, never panic a round",
+    },
+    MapEntry {
+        pattern: "crates/service/src/wire.rs",
+        classes: &["panic_free", "no_index"],
+        why: "the JSON parser decodes every journal record and snapshot frame \
+              during replay; a panic on a malformed byte aborts recovery instead \
+              of falling back",
     },
     MapEntry {
         pattern: "crates/service/src/worker.rs",

@@ -158,6 +158,9 @@ pub struct ServiceMetrics {
     pub snapshot_failures: Arc<Counter>,
     /// `dmp_snapshot_write_us`.
     pub snapshot_write_us: Arc<Histogram>,
+    /// `dmp_snapshot_verify_us` (the verified-durable gate of a
+    /// compacting checkpoint).
+    pub snapshot_verify_us: Arc<Histogram>,
     /// `dmp_snapshot_bytes_total` (encoded snapshot file bytes written).
     pub snapshot_bytes: Arc<Counter>,
     /// `dmp_snapshot_pruned_total` (superseded snapshots removed under
@@ -285,6 +288,11 @@ pub fn metrics() -> &'static ServiceMetrics {
             snapshot_write_us: r.histogram(
                 "dmp_snapshot_write_us",
                 "Snapshot write (serialize + tmp + fsync + rename), microseconds.",
+            ),
+            snapshot_verify_us: r.histogram(
+                "dmp_snapshot_verify_us",
+                "Compaction's verified-durable gate (re-read + parse + decode + restore + \
+                 digest), microseconds.",
             ),
             snapshot_bytes: r.counter(
                 "dmp_snapshot_bytes_total",

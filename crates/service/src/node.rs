@@ -438,9 +438,13 @@ impl ServiceNode {
         // Verified-durable gate: re-read the file we just renamed into
         // place and prove the *on-disk bytes* decode to an equivalent
         // state. Only then is the journal prefix redundant.
+        // dmp-lint: allow(det-wall-clock) -- snapshot-verify telemetry; never applied state
+        let verify_started = Instant::now();
         let verified = snapshot::load_file(&path)
             .ok_or_else(|| "reread failed".to_string())
             .and_then(|on_disk| Self::restore_verified(&self.cfg, &on_disk).map(|_| ()));
+        m.snapshot_verify_us
+            .record_duration_us(verify_started.elapsed());
         if let Err(why) = verified {
             m.snapshot_failures.inc();
             return Err(ServiceError::Io(std::io::Error::new(

@@ -9,8 +9,18 @@
 //! are rejected at encode time (JSON has no NaN/Infinity). `dump ∘
 //! parse` is the identity on every value this module can produce; the
 //! property suite in `tests/wire_props.rs` pins that down.
+//!
+//! Cost: [`Json::parse`] is one forward pass, linear in its input. A
+//! string costs one `push_str` per run of plain bytes between escapes
+//! (so an escape-free string is a single allocation and copy), numbers
+//! are parsed from a slice of the input, and nothing is re-validated
+//! as UTF-8 — the input is a `&str` already. The state image travels
+//! almost entirely as strings, so snapshot load, the compaction verify
+//! gate and journal replay all ride on this. Encoding mirrors it: runs
+//! that need no escape are copied whole, and numbers are formatted
+//! straight into the output buffer.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,6 +162,7 @@ impl Json {
     /// (the codec never produces them; see [`Json::try_dump`]).
     pub fn dump(&self) -> String {
         self.try_dump()
+            // dmp-lint: allow(panic-unwrap) -- documented encode-side contract: callers build values from finite numbers only; try_dump is the fallible form, and no decode path reaches here
             .expect("non-finite number cannot be serialized to JSON")
     }
 
@@ -172,7 +183,7 @@ impl Json {
                     return Err(WireError::new("non-finite number"));
                 }
                 // Rust's shortest round-trip f64 formatting; valid JSON.
-                out.push_str(&format!("{n}"));
+                let _ = write!(out, "{n}");
             }
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
@@ -204,6 +215,7 @@ impl Json {
     /// Parse a JSON document (one value, surrounded by whitespace only).
     pub fn parse(input: &str) -> Result<Json, WireError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -217,25 +229,43 @@ impl Json {
     }
 }
 
+/// Whether `b` ends a run of plain string bytes: the quote, the
+/// backslash and the control bytes are the only bytes JSON strings
+/// escape. All are ASCII, so a run always ends on a char boundary.
+fn ends_run(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// Write `s` as a quoted JSON string, copying each run of plain bytes
+/// with one `push_str`.
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !ends_run(b) {
+            continue;
         }
+        out.push_str(s.get(run..i).unwrap_or_default());
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(s.get(run..).unwrap_or_default());
     out.push('"');
 }
 
 struct Parser<'a> {
+    /// The document; kept beside `bytes` so string runs and numbers are
+    /// sliced out of it without revalidating UTF-8.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -252,13 +282,17 @@ impl<'a> Parser<'a> {
         self.bytes.get(self.pos).copied()
     }
 
+    fn rest(&self) -> &'a [u8] {
+        self.bytes.get(self.pos..).unwrap_or_default()
+    }
+
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), WireError> {
+    fn eat(&mut self, b: u8) -> Result<(), WireError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -268,7 +302,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, value: Json) -> Result<Json, WireError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.rest().starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -294,7 +328,7 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self, depth: usize) -> Result<Json, WireError> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -317,7 +351,7 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self, depth: usize) -> Result<Json, WireError> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -328,7 +362,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.eat(b':')?;
             self.skip_ws();
             let value = self.value(depth + 1)?;
             pairs.push((key, value));
@@ -345,9 +379,17 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, WireError> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            let rest = self.rest();
+            let run = rest.iter().position(|&b| ends_run(b)).unwrap_or(rest.len());
+            let plain = self
+                .text
+                .get(self.pos..self.pos + run)
+                .ok_or_else(|| self.err("invalid UTF-8"))?;
+            out.push_str(plain);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -356,64 +398,59 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{0008}',
+                        Some(b'f') => '\u{000c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
                         Some(b'u') => {
                             self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xd800..0xdc00).contains(&hi) {
-                                // Surrogate pair: require the low half.
-                                if !self.bytes[self.pos..].starts_with(b"\\u") {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                                self.pos += 2;
-                                let lo = self.hex4()?;
-                                if !(0xdc00..0xe000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let cp = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
-                                char::from_u32(cp)
-                                    .ok_or_else(|| self.err("invalid surrogate pair"))?
-                            } else {
-                                char::from_u32(hi).ok_or_else(|| self.err("lone low surrogate"))?
-                            };
-                            out.push(c);
-                            continue; // hex4 advanced pos already
+                            out.push(self.unicode_escape()?);
+                            continue; // unicode_escape advanced pos already
                         }
                         _ => return Err(self.err("invalid escape")),
-                    }
+                    };
+                    out.push(c);
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8; find the char boundary).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character")),
             }
         }
     }
 
-    fn hex4(&mut self) -> Result<u32, WireError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
+    /// The char of a `\uXXXX` escape (after the `\u`), joining a
+    /// surrogate pair into one scalar.
+    fn unicode_escape(&mut self) -> Result<char, WireError> {
+        let hi = self.hex4()?;
+        if !(0xd800..0xdc00).contains(&hi) {
+            return char::from_u32(hi).ok_or_else(|| self.err("lone low surrogate"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        // Surrogate pair: require the low half.
+        if !self.rest().starts_with(b"\\u") {
+            return Err(self.err("lone high surrogate"));
+        }
+        self.pos += 2;
+        let lo = self.hex4()?;
+        if !(0xdc00..0xe000).contains(&lo) {
+            return Err(self.err("invalid low surrogate"));
+        }
+        let cp = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
+        char::from_u32(cp).ok_or_else(|| self.err("invalid surrogate pair"))
+    }
+
+    fn hex4(&mut self) -> Result<u32, WireError> {
+        let Some(digits) = self.rest().get(..4) else {
+            return Err(self.err("truncated \\u escape"));
+        };
+        let mut v = 0;
+        for &b in digits {
+            let nibble = char::from(b).to_digit(16);
+            v = (v << 4) | nibble.ok_or_else(|| self.err("invalid \\u escape"))?;
+        }
         self.pos += 4;
         Ok(v)
     }
@@ -423,31 +460,34 @@ impl<'a> Parser<'a> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
+        self.digits();
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits();
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits();
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        let n: f64 = text.parse().map_err(|_| self.err("invalid number"))?;
+        // Every byte consumed is ASCII, so the slice is on char boundaries.
+        let n: f64 = self
+            .text
+            .get(start..self.pos)
+            .and_then(|text| text.parse().ok())
+            .ok_or_else(|| self.err("invalid number"))?;
         if !n.is_finite() {
             return Err(self.err("number out of range"));
         }
         Ok(Json::Num(n))
+    }
+
+    fn digits(&mut self) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
     }
 }
 
@@ -515,9 +555,27 @@ mod tests {
             "nan",
             "\"\\ud800x\"",
             "01a",
+            "nul",
+            "[fals",
+            "\"\\u12\"",
+            "\"\\u+041\"",
+            "\"\\udc00\"",
+            "\"a\u{0001}\"",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn escaped_output_is_canonical() {
+        // The wire form the journal and snapshots already hold.
+        let v = Json::str("a\"b\\c\nd\re\tf\u{0001}g\u{001f}h\u{7f}é/");
+        assert_eq!(
+            v.dump(),
+            "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001fh\u{7f}é/\""
+        );
+        assert_eq!(Json::Num(-0.25).dump(), "-0.25");
+        assert_eq!(Json::Num(1e21).dump(), "1000000000000000000000");
     }
 
     #[test]

@@ -16,12 +16,15 @@
 //! Every intermediate directory state must recover to the same state
 //! digest as a node that never crashed, and keep accepting commands.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 
 use dmp_core::market::MarketConfig;
 use dmp_mechanism::design::MarketDesign;
 use dmp_service::command::{AskSpec, CellSpec, ColType, Command, OfferSpec, TableSpec};
 use dmp_service::journal::Journal;
+use dmp_service::metrics::metrics;
 use dmp_service::node::{ServiceConfig, ServiceNode};
 use dmp_service::snapshot;
 use rand::{Rng, SeedableRng};
@@ -31,13 +34,6 @@ const SNAPSHOT_EVERY: u64 = 6;
 
 fn market_config() -> MarketConfig {
     MarketConfig::external(51).with_design(MarketDesign::posted_price_baseline(11.0))
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dmp-compact-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// A short mixed stream: enough commands to cross several snapshot
@@ -108,7 +104,7 @@ struct Donor {
 }
 
 fn donor() -> Donor {
-    let dir = tmp_dir("donor");
+    let dir = common::unique_dir("compact-donor");
     let node = ServiceNode::open(config(&dir, 0)).unwrap();
     for cmd in command_stream() {
         let _ = node.apply(cmd);
@@ -134,7 +130,7 @@ fn donor() -> Donor {
 /// Materialize a crash directory: the donor journal plus the snapshots
 /// whose seq passes `keep_snapshot`.
 fn carve(donor: &Donor, name: &str, keep_snapshot: impl Fn(u64) -> bool) -> PathBuf {
-    let dir = tmp_dir(name);
+    let dir = common::unique_dir(&format!("compact-{name}"));
     std::fs::copy(donor.dir.join("journal.wal"), dir.join("journal.wal")).unwrap();
     std::fs::copy(donor.dir.join("node.meta"), dir.join("node.meta")).unwrap();
     for (seq, path) in snapshot::list_snapshots(&donor.dir) {
@@ -237,11 +233,16 @@ fn crash_after_truncate_recovers_from_snapshot_plus_tail() {
 #[test]
 fn live_compaction_shrinks_journal_and_matches_donor() {
     let d = donor();
-    let dir = tmp_dir("live");
+    let dir = common::unique_dir("compact-live");
+    let verifies_before = metrics().snapshot_verify_us.count();
     let node = ServiceNode::open(config(&dir, 1)).unwrap();
     for cmd in command_stream() {
         let _ = node.apply(cmd);
     }
+    assert!(
+        metrics().snapshot_verify_us.count() >= verifies_before + d.snapshot_seqs.len() as u64,
+        "every compacting checkpoint must record dmp_snapshot_verify_us"
+    );
     assert_eq!(
         node.state_digest(),
         d.digest,

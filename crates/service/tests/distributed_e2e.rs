@@ -17,6 +17,8 @@
 //! * worker and coordinator `/metrics` expositions lint clean and
 //!   carry the distributed series.
 
+mod common;
+
 use std::io::BufRead;
 use std::net::SocketAddr;
 use std::process::{Child, Stdio};
@@ -42,12 +44,6 @@ const POSTED_PRICE: f64 = 12.0;
 
 fn market_config(seed: u64) -> MarketConfig {
     MarketConfig::external(seed).with_design(MarketDesign::posted_price_baseline(POSTED_PRICE))
-}
-
-fn temp_dir(name: &str, seed: u64) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dmp-dist-{name}-{seed}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// A live `dmp-worker` process; killed on drop.
@@ -262,7 +258,11 @@ fn replay_distributed(
     shards: usize,
     workers: &[WorkerProc],
 ) -> (Arc<ServiceNode>, Arc<WorkerPool>, Vec<MergedRoundReport>) {
-    let cfg = ServiceConfig::new(temp_dir(name, seed), market_config(seed)).with_shards(shards);
+    let cfg = ServiceConfig::new(
+        common::unique_dir(&format!("dist-{name}-{seed}")),
+        market_config(seed),
+    )
+    .with_shards(shards);
     let node = Arc::new(ServiceNode::open(cfg).expect("coordinator opens"));
     let addrs: Vec<SocketAddr> = workers.iter().map(|w| w.addr).collect();
     let pool =
@@ -446,7 +446,11 @@ fn worker_killed_mid_settle_costs_nothing() {
 fn mismatched_worker_is_refused_over_the_wire() {
     let seed = 99;
     let imposter = WorkerProc::spawn(seed + 1, 4, None);
-    let cfg = ServiceConfig::new(temp_dir("mismatch", seed), market_config(seed)).with_shards(4);
+    let cfg = ServiceConfig::new(
+        common::unique_dir(&format!("dist-mismatch-{seed}")),
+        market_config(seed),
+    )
+    .with_shards(4);
     let node = Arc::new(ServiceNode::open(cfg).expect("coordinator opens"));
     let pool = Arc::new(
         WorkerPool::connect(node.fingerprint(), 4, &[imposter.addr]).expect("pool connects"),

@@ -3,7 +3,8 @@
 //! enroll → deposit → ask → offer → round → ledger-read flow, plus
 //! durability across a gateway restart.
 
-use std::path::PathBuf;
+mod common;
+
 use std::sync::Arc;
 
 use dmp_core::market::MarketConfig;
@@ -24,16 +25,9 @@ fn co_located_seller(buyer: &str, base: &str, shards: u64) -> String {
         .unwrap()
 }
 
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dmp-gateway-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 fn start(name: &str) -> (Arc<ServiceNode>, Gateway) {
     let market = MarketConfig::external(9).with_design(MarketDesign::posted_price_baseline(20.0));
-    let cfg = ServiceConfig::new(tmp_dir(name), market)
+    let cfg = ServiceConfig::new(common::unique_dir(&format!("gateway-{name}")), market)
         .with_shards(2)
         .with_fsync(false);
     let node = Arc::new(ServiceNode::open(cfg).unwrap());
@@ -204,7 +198,7 @@ fn concurrent_clients_drive_disjoint_sessions() {
 #[test]
 fn state_survives_gateway_restart() {
     let market = MarketConfig::external(9).with_design(MarketDesign::posted_price_baseline(20.0));
-    let dir = tmp_dir("restart");
+    let dir = common::unique_dir("gateway-restart");
     let cfg = ServiceConfig::new(&dir, market)
         .with_shards(2)
         .with_fsync(false);

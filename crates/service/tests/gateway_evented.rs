@@ -4,9 +4,10 @@
 //! socket with strictly ordered responses, and the client helper's
 //! transparent reconnection after a server-initiated close.
 
+mod common;
+
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -17,16 +18,9 @@ use dmp_service::gateway::{Gateway, GatewayConfig};
 use dmp_service::node::{ServiceConfig, ServiceNode};
 use dmp_service::wire::Json;
 
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dmp-evented-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 fn start(name: &str, cfg: GatewayConfig) -> (Arc<ServiceNode>, Gateway) {
     let market = MarketConfig::external(9).with_design(MarketDesign::posted_price_baseline(20.0));
-    let service = ServiceConfig::new(tmp_dir(name), market)
+    let service = ServiceConfig::new(common::unique_dir(&format!("evented-{name}")), market)
         .with_shards(2)
         .with_fsync(false);
     let node = Arc::new(ServiceNode::open(service).unwrap());

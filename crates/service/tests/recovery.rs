@@ -4,7 +4,9 @@
 //! offer book are **bit-identical** to an uncrashed run over the same
 //! surviving command prefix.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use std::path::Path;
 
 use dmp_core::market::MarketConfig;
 use dmp_mechanism::design::MarketDesign;
@@ -20,13 +22,6 @@ const SHARDS: usize = 3;
 
 fn market_config() -> MarketConfig {
     MarketConfig::external(23).with_design(MarketDesign::posted_price_baseline(12.0))
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dmp-recovery-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 fn table(name: &str, cols: &[&str], rows: usize, rng: &mut rand::rngs::StdRng) -> TableSpec {
@@ -201,7 +196,7 @@ fn copy_crashed(src: &Path, dst: &Path, journal_bytes: &[u8], survivors: usize) 
 #[test]
 fn crash_at_random_offsets_recovers_bit_identical_state() {
     let cmds = command_stream(50, 0xfeed);
-    let dir = tmp_dir("bitident");
+    let dir = common::unique_dir("recovery-bitident");
     let cfg = ServiceConfig::new(&dir, market_config())
         .with_shards(SHARDS)
         .with_snapshot_every(40)
@@ -229,7 +224,7 @@ fn crash_at_random_offsets_recovers_bit_identical_state() {
     cuts.push(bytes.len()); // clean shutdown as a control
     for (case, cut) in cuts.into_iter().enumerate() {
         let survivors = boundaries.iter().filter(|&&b| b <= cut).count();
-        let crash_dir = tmp_dir(&format!("bitident-crash{case}"));
+        let crash_dir = common::unique_dir(&format!("recovery-bitident-crash{case}"));
         copy_crashed(&dir, &crash_dir, &bytes[..cut], survivors);
 
         let recovered = ServiceNode::open(
@@ -271,7 +266,7 @@ fn crash_at_random_offsets_recovers_bit_identical_state() {
 #[test]
 fn snapshot_accelerated_recovery_equals_journal_only_recovery() {
     let cmds = command_stream(20, 0xbead);
-    let dir_snap = tmp_dir("snapshotted");
+    let dir_snap = common::unique_dir("recovery-snapshotted");
     let cfg_snap = ServiceConfig::new(&dir_snap, market_config())
         .with_shards(SHARDS)
         .with_snapshot_every(25)
@@ -288,7 +283,7 @@ fn snapshot_accelerated_recovery_equals_journal_only_recovery() {
 
     // Recover once with snapshots present, once from the journal alone.
     let with_snap = ServiceNode::open(cfg_snap).unwrap();
-    let dir_journal = tmp_dir("journal-only");
+    let dir_journal = common::unique_dir("recovery-journal-only");
     std::fs::copy(
         dir_snap.join("journal.wal"),
         dir_journal.join("journal.wal"),
@@ -313,7 +308,7 @@ fn snapshot_accelerated_recovery_equals_journal_only_recovery() {
 #[test]
 fn corrupted_snapshot_falls_back_to_journal() {
     let cmds = command_stream(10, 0xabcd);
-    let dir = tmp_dir("badsnap");
+    let dir = common::unique_dir("recovery-badsnap");
     let cfg = ServiceConfig::new(&dir, market_config())
         .with_shards(SHARDS)
         .with_snapshot_every(15)

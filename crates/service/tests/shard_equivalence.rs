@@ -11,6 +11,8 @@
 //! itself (a buyer matching a seller on another shard) and the
 //! node-level recovery path.
 
+mod common;
+
 use dmp_core::market::{MarketConfig, OfferState};
 use dmp_mechanism::design::MarketDesign;
 use dmp_service::command::{
@@ -428,11 +430,7 @@ fn unfunded_cleared_sale_is_not_a_cross_shard_trade() {
 /// both invisible to market semantics.
 #[test]
 fn materialized_snapshot_reopen_preserves_shard_equivalence() {
-    let tmp = |name: &str| {
-        let dir = std::env::temp_dir().join(format!("dmp-sheq-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    };
+    let tmp = |name: &str| common::unique_dir(&format!("sheq-{name}"));
     let cmds = command_stream(5, 4242);
 
     let cfg4 = ServiceConfig::new(tmp("msnap-four"), market_config(4242))
@@ -484,11 +482,7 @@ fn materialized_snapshot_reopen_preserves_shard_equivalence() {
 /// node's for the same command stream.
 #[test]
 fn node_recovery_preserves_cross_shard_equivalence() {
-    let tmp = |name: &str| {
-        let dir = std::env::temp_dir().join(format!("dmp-sheq-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    };
+    let tmp = |name: &str| common::unique_dir(&format!("sheq-{name}"));
     let cmds = command_stream(4, 77);
 
     let apply_all = |node: &ServiceNode| {

@@ -5,7 +5,8 @@
 //! before/after **delta** — this binary stays valid no matter what
 //! other tests in the same process record.
 
-use std::path::PathBuf;
+mod common;
+
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use dmp_core::market::MarketConfig;
@@ -24,16 +25,9 @@ fn serial() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dmp-telemetry-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 fn start(name: &str) -> (Arc<ServiceNode>, Gateway) {
     let market = MarketConfig::external(9).with_design(MarketDesign::posted_price_baseline(20.0));
-    let cfg = ServiceConfig::new(tmp_dir(name), market)
+    let cfg = ServiceConfig::new(common::unique_dir(&format!("telemetry-{name}")), market)
         .with_shards(2)
         .with_fsync(false);
     let node = Arc::new(ServiceNode::open(cfg).unwrap());

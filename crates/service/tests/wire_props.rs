@@ -2,6 +2,8 @@
 //! on arbitrary JSON values, and every [`Command`] round-trips through
 //! its wire form unchanged.
 
+use std::time::Instant;
+
 use dmp_service::command::{
     AskSpec, CellSpec, ColType, Command, CurveSpec, LicenseSpec, OfferSpec, TableSpec, TaskSpec,
 };
@@ -79,6 +81,110 @@ fn arb_json(rng: &mut TestRng, depth: u32) -> Json {
         }
     }
 }
+
+/// Long JSON string literals, as `(wire text, decoded value)`: plain
+/// ASCII runs of up to a few hundred bytes mixed with short escapes,
+/// raw multi-byte characters, `\uXXXX` escapes and surrogate pairs, so
+/// every kind of piece lands at both ends of a long plain run.
+struct ArbLongLiteral;
+
+fn push_long_literal_piece(rng: &mut TestRng, text: &mut String, decoded: &mut String) {
+    const PLAIN: &[u8] = b"abcxyzABCXYZ0123456789 _-.,:;{}[]/";
+    const SHORT: &[(&str, char)] = &[
+        ("\\\"", '"'),
+        ("\\\\", '\\'),
+        ("\\/", '/'),
+        ("\\b", '\u{0008}'),
+        ("\\f", '\u{000c}'),
+        ("\\n", '\n'),
+        ("\\r", '\r'),
+        ("\\t", '\t'),
+    ];
+    const RAW: &[char] = &[
+        'é',
+        'π',
+        '→',
+        '\u{7f}',
+        '\u{FFFD}',
+        '\u{1F600}',
+        '\u{10FFFF}',
+    ];
+    const BMP: &[char] = &[
+        'A', '"', '\u{0001}', '\u{001f}', 'é', '→', '\u{FFFD}', '\u{e000}',
+    ];
+    const ASTRAL: &[char] = &['\u{10000}', '\u{1D11E}', '\u{1F600}', '\u{10FFFF}'];
+    match rng.gen_range(0u32..6) {
+        0 | 1 => {
+            let len = rng.gen_range(1usize..400);
+            for _ in 0..len {
+                let c = PLAIN[rng.gen_range(0usize..PLAIN.len())] as char;
+                text.push(c);
+                decoded.push(c);
+            }
+        }
+        2 => {
+            let (escape, c) = SHORT[rng.gen_range(0usize..SHORT.len())];
+            text.push_str(escape);
+            decoded.push(c);
+        }
+        3 => {
+            let c = RAW[rng.gen_range(0usize..RAW.len())];
+            text.push(c);
+            decoded.push(c);
+        }
+        4 => {
+            let c = BMP[rng.gen_range(0usize..BMP.len())];
+            let escape = format!("\\u{:04x}", c as u32);
+            // JSON hex digits are case-insensitive.
+            if rng.gen::<bool>() {
+                text.push_str(&escape.to_uppercase().replacen("\\U", "\\u", 1));
+            } else {
+                text.push_str(&escape);
+            }
+            decoded.push(c);
+        }
+        _ => {
+            let c = ASTRAL[rng.gen_range(0usize..ASTRAL.len())];
+            let mut units = [0u16; 2];
+            for unit in c.encode_utf16(&mut units) {
+                text.push_str(&format!("\\u{unit:04x}"));
+            }
+            decoded.push(c);
+        }
+    }
+}
+
+impl Strategy for ArbLongLiteral {
+    type Value = (String, String);
+    fn generate(&self, rng: &mut TestRng) -> (String, String) {
+        let target = rng.gen_range(200usize..4000);
+        let mut text = String::from('"');
+        let mut decoded = String::new();
+        while decoded.len() < target {
+            push_long_literal_piece(rng, &mut text, &mut decoded);
+        }
+        text.push('"');
+        (text, decoded)
+    }
+}
+
+/// Tails that make a string literal malformed, each placed after a
+/// long plain run.
+const BAD_TAILS: &[&str] = &[
+    "\u{0001}\"",
+    "\u{001f}\"",
+    "\n\"",
+    "\\x\"",
+    "\\u12g4\"",
+    "\\u+041\"",
+    "\\u12",
+    "\\ud800x\"",
+    "\\ud800\"",
+    "\\ud800\\u0041\"",
+    "\\udc00\"",
+    "\\",
+    "",
+];
 
 impl Strategy for ArbJson {
     type Value = Json;
@@ -263,6 +369,34 @@ proptest! {
     }
 
     #[test]
+    fn long_string_literals_decode_exactly((text, decoded) in ArbLongLiteral) {
+        prop_assert_eq!(Json::parse(&text).unwrap(), Json::Str(decoded.clone()));
+        let value = Json::obj([(decoded.clone(), Json::Arr(vec![Json::Str(decoded)]))]);
+        prop_assert_eq!(Json::parse(&value.dump()).unwrap(), value);
+    }
+
+    #[test]
+    fn malformed_tail_after_long_run_is_rejected(
+        (text, _) in ArbLongLiteral,
+        tail in 0usize..BAD_TAILS.len(),
+    ) {
+        // The literal without its closing quote, a plain run, then a
+        // bad tail.
+        let prefix = format!("{}{}", &text[..text.len() - 1], "plain run ".repeat(40));
+        let bad = format!("{prefix}{}", BAD_TAILS[tail]);
+        match Json::parse(&bad) {
+            Ok(v) => panic!("accepted malformed tail {:?}: {v:?}", BAD_TAILS[tail]),
+            Err(e) => prop_assert!(
+                e.pos >= prefix.len(),
+                "error at byte {} reported inside the valid prefix ({} bytes): {}",
+                e.pos,
+                prefix.len(),
+                e.msg
+            ),
+        }
+    }
+
+    #[test]
     fn commands_round_trip_through_wire(cmd in ArbCommand) {
         let encoded = cmd.encode().dump();
         let json = Json::parse(&encoded)
@@ -271,4 +405,58 @@ proptest! {
             .unwrap_or_else(|e| panic!("decode failed for {encoded:?}: {e}"));
         prop_assert_eq!(decoded, cmd);
     }
+}
+
+/// A document of about `bytes` bytes shaped like a state image: records
+/// whose numbers travel as strings, so strings hold most of the bytes.
+fn image_like(bytes: usize) -> String {
+    let mut records = Vec::new();
+    let mut len = 0;
+    let mut i = 0u64;
+    while len < bytes {
+        let record = Json::obj([
+            ("id", Json::str(i.to_string())),
+            (
+                "bits",
+                Json::str(format!("{:016x}", i.wrapping_mul(0x9e37_79b9_7f4a_7c15))),
+            ),
+            ("name", Json::str(format!("acct-{i} \"q\" é\n"))),
+            ("n", Json::Num(i as f64 * 0.5)),
+        ]);
+        len += record.dump().len() + 1;
+        records.push(record);
+        i += 1;
+    }
+    Json::Arr(records).dump()
+}
+
+/// Parsing a 16x larger document costs well under 64x as long. A parser
+/// that rescans the rest of the document per string character pays
+/// ~256x here, so the bound catches it with a wide margin for timer and
+/// scheduler noise. Each size keeps its best of several interleaved runs.
+#[test]
+fn parse_time_is_linear_in_document_size() {
+    let small = image_like(8 << 10);
+    let large = image_like(128 << 10);
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..5 {
+        for (slot, doc) in best.iter_mut().zip([&small, &large]) {
+            let started = Instant::now();
+            let value = Json::parse(doc).unwrap();
+            *slot = slot.min(started.elapsed().as_secs_f64());
+            drop(std::hint::black_box(value));
+        }
+    }
+    let ratio = best[1] / best[0];
+    println!(
+        "parse {} B: {:.3} ms, {} B: {:.3} ms, ratio {ratio:.1}",
+        small.len(),
+        best[0] * 1e3,
+        large.len(),
+        best[1] * 1e3
+    );
+    assert!(
+        ratio < 64.0,
+        "parse time grew {ratio:.1}x for a 16x larger document (linear ~16x, quadratic ~256x)"
+    );
 }

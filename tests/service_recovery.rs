@@ -3,7 +3,9 @@
 //! is discarded, the journal tail is torn mid-record), and a recovery
 //! that restores the exact ledger and continues serving.
 
-use std::path::PathBuf;
+#[path = "../crates/service/tests/common/mod.rs"]
+mod common;
+
 use std::sync::Arc;
 
 use data_market_platform::core::market::MarketConfig;
@@ -13,14 +15,6 @@ use data_market_platform::service::gateway::{Gateway, GatewayConfig};
 use data_market_platform::service::node::{ServiceConfig, ServiceNode};
 use data_market_platform::service::shard::fnv1a;
 use data_market_platform::service::wire::Json;
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("dmp-facade-recovery-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn service_config(dir: &std::path::Path) -> ServiceConfig {
     let market = MarketConfig::external(31).with_design(MarketDesign::posted_price_baseline(10.0));
@@ -32,7 +26,7 @@ fn service_config(dir: &std::path::Path) -> ServiceConfig {
 
 #[test]
 fn gateway_session_survives_a_hard_crash() {
-    let dir = tmp_dir("hard-crash");
+    let dir = common::unique_dir("facade-recovery-hard-crash");
 
     // Names that co-locate on one shard (offers match within a shard;
     // cross-shard trades are a ROADMAP follow-on).
