@@ -349,10 +349,7 @@ mod tests {
     use super::*;
 
     fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dmp-journal-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("journal.wal")
+        crate::unique_test_dir(&format!("journal-{name}")).join("journal.wal")
     }
 
     fn sample_cmds() -> Vec<Command> {

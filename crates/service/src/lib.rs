@@ -71,6 +71,21 @@ pub mod timer;
 pub mod wire;
 pub mod worker;
 
+/// A fresh, empty directory under the system temp dir for one unit
+/// test: the process id keeps concurrent test binaries apart, the
+/// counter keeps parallel test threads (and repeated names) apart.
+/// The integration tests' `tests/common::unique_dir` has the same shape.
+#[cfg(test)]
+pub(crate) fn unique_test_dir(name: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("dmp-{name}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
 pub use client::Client;
 pub use command::{AskSpec, Command, LicenseSpec, OfferSpec};
 pub use coordinator::WorkerPool;

@@ -39,12 +39,14 @@ pub enum Endpoint {
     Rounds,
     /// `POST /snapshot`.
     Snapshot,
+    /// A worker's coordinator-facing RPCs, `/internal/*`.
+    Internal,
     /// Anything else (404s, bad methods).
     Other,
 }
 
 impl Endpoint {
-    const ALL: [Endpoint; 12] = [
+    const ALL: [Endpoint; 13] = [
         Endpoint::Health,
         Endpoint::Metrics,
         Endpoint::Trace,
@@ -56,6 +58,7 @@ impl Endpoint {
         Endpoint::Licenses,
         Endpoint::Rounds,
         Endpoint::Snapshot,
+        Endpoint::Internal,
         Endpoint::Other,
     ];
 
@@ -73,6 +76,7 @@ impl Endpoint {
             "/rounds" => Endpoint::Rounds,
             "/snapshot" => Endpoint::Snapshot,
             p if p == "/ledger" || p.starts_with("/ledger/") => Endpoint::Ledger,
+            p if p.starts_with("/internal/") => Endpoint::Internal,
             _ => Endpoint::Other,
         }
     }
@@ -91,6 +95,7 @@ impl Endpoint {
             Endpoint::Licenses => "/licenses",
             Endpoint::Rounds => "/rounds",
             Endpoint::Snapshot => "/snapshot",
+            Endpoint::Internal => "/internal",
             Endpoint::Other => "other",
         }
     }
@@ -414,6 +419,8 @@ mod tests {
         assert_eq!(Endpoint::of("/ledger"), Endpoint::Ledger);
         assert_eq!(Endpoint::of("/ledger/alice"), Endpoint::Ledger);
         assert_eq!(Endpoint::of("/metrics"), Endpoint::Metrics);
+        assert_eq!(Endpoint::of("/internal/apply"), Endpoint::Internal);
+        assert_eq!(Endpoint::of("/internal/digest"), Endpoint::Internal);
         assert_eq!(Endpoint::of("/nope"), Endpoint::Other);
         for e in Endpoint::ALL {
             assert_eq!(Endpoint::ALL[e.index()], e);

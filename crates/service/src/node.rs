@@ -562,8 +562,7 @@ mod tests {
     use dmp_mechanism::design::MarketDesign;
 
     fn config(name: &str) -> ServiceConfig {
-        let dir = std::env::temp_dir().join(format!("dmp-node-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = crate::unique_test_dir(&format!("node-{name}"));
         let market =
             MarketConfig::external(5).with_design(MarketDesign::posted_price_baseline(10.0));
         ServiceConfig::new(dir, market).with_shards(2)

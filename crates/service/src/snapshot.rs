@@ -202,10 +202,7 @@ mod tests {
     use super::*;
 
     fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dmp-snapshot-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
+        crate::unique_test_dir(&format!("snapshot-{name}"))
     }
 
     fn sample() -> Snapshot {

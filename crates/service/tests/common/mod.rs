@@ -15,3 +15,18 @@ pub fn unique_dir(name: &str) -> PathBuf {
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
+
+/// The value of one exposition series (exact full name incl. labels).
+#[allow(dead_code)] // only the tests that scrape `/metrics` call it
+pub fn series(text: &str, name: &str) -> f64 {
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix(name) {
+            if let Some(v) = rest.strip_prefix(' ') {
+                return v
+                    .parse()
+                    .unwrap_or_else(|_| panic!("bad value in {line:?}"));
+            }
+        }
+    }
+    0.0 // series not yet registered = zero observations
+}

@@ -291,6 +291,8 @@ fn digest_of(addr: SocketAddr) -> (String, String) {
     )
 }
 
+const INTERNAL_REQUESTS: &str = "dmp_gateway_requests_total{endpoint=\"/internal\"}";
+
 /// The headline e2e: 1 coordinator + 3 workers over real sockets ==
 /// single-process 4-shard == 1-shard, bit-for-bit, with every worker a
 /// verified replica — and the last round driven through the public
@@ -338,6 +340,17 @@ fn three_workers_over_sockets_match_single_process() {
         assert_eq!(worker_rounds, rounds.to_string(), "worker skipped rounds");
     }
 
+    // A worker counts its `/internal/*` RPCs under their own endpoint.
+    let first = workers.first().expect("spawned three workers");
+    let mut worker_client = Client::connect(first.addr).expect("worker client");
+    let worker_before = worker_client.get_text("/metrics").expect("worker metrics");
+    lint_exposition(&worker_before).expect("worker exposition lints");
+    let internal_before = common::series(&worker_before, INTERNAL_REQUESTS);
+    assert!(
+        internal_before > 0.0,
+        "worker counted no /internal requests"
+    );
+
     // Full wire path: one more round through the public HTTP gateway.
     let gateway = Gateway::serve(Arc::clone(&node), GatewayConfig::default()).expect("gateway");
     let mut client = Client::connect(gateway.addr()).expect("client");
@@ -368,11 +381,14 @@ fn three_workers_over_sockets_match_single_process() {
     }
 
     // Worker exposition over its own socket: lints clean, carries the
-    // standard series (the worker runs the same telemetry stack).
-    let first = workers.first().expect("spawned three workers");
-    let mut worker_client = Client::connect(first.addr).expect("worker client");
+    // standard series (the worker runs the same telemetry stack), and
+    // the gateway round's RPCs moved its `/internal` request count.
     let worker_exposition = worker_client.get_text("/metrics").expect("worker metrics");
     lint_exposition(&worker_exposition).expect("worker exposition lints");
+    assert!(
+        common::series(&worker_exposition, INTERNAL_REQUESTS) > internal_before,
+        "the gateway round's worker RPCs were not counted under /internal"
+    );
     assert!(
         worker_exposition.contains("dmp_round_settlement_components"),
         "worker ran settlement but exports no component series"

@@ -35,20 +35,6 @@ fn start(name: &str) -> (Arc<ServiceNode>, Gateway) {
     (node, gateway)
 }
 
-/// The value of one exposition series (exact full name incl. labels).
-fn series(text: &str, name: &str) -> f64 {
-    for line in text.lines() {
-        if let Some(rest) = line.strip_prefix(name) {
-            if let Some(v) = rest.strip_prefix(' ') {
-                return v
-                    .parse()
-                    .unwrap_or_else(|_| panic!("bad value in {line:?}"));
-            }
-        }
-    }
-    0.0 // series not yet registered = zero observations
-}
-
 #[test]
 fn metrics_scrape_matches_work_done() {
     let _serial = serial();
@@ -78,7 +64,7 @@ fn metrics_scrape_matches_work_done() {
     let after = client.get_text("/metrics").unwrap();
     lint_exposition(&after).expect("exposition must lint clean after work");
 
-    let delta = |name: &str| series(&after, name) - series(&before, name);
+    let delta = |name: &str| common::series(&after, name) - common::series(&before, name);
 
     // Request counters, by endpoint.
     assert_eq!(
@@ -122,7 +108,7 @@ fn metrics_scrape_matches_work_done() {
     // Connection accounting: this client dialed before the first
     // scrape, so the *cumulative* count is at least one (the delta
     // between scrapes on one keep-alive socket is legitimately zero).
-    assert!(series(&after, "dmp_gateway_accepts_total") >= 1.0);
+    assert!(common::series(&after, "dmp_gateway_accepts_total") >= 1.0);
 
     gateway.shutdown();
 }
